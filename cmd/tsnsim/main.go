@@ -384,11 +384,11 @@ func writeCSV(net *testbed.Net, path string) error {
 	return w.Error()
 }
 
-// validatePartitions rejects flag combinations a partitioned run
-// cannot honor: features the testbed refuses to shard, plus the
-// single-engine conveniences (progress, deadline guard, live serving)
-// that hook the one serial engine.
-func validatePartitions(o runOpts, pcapOut io.Writer) error {
+// validatePartitions rejects the flags a partitioned run cannot honor
+// that testbed never sees: live reconfiguration, and the conveniences
+// (progress, deadline guard, live serving) that hook one engine.
+// testbed.Build refuses the unshardable simulation features itself.
+func validatePartitions(o runOpts) error {
 	if o.partitions <= 1 {
 		return nil
 	}
@@ -396,17 +396,10 @@ func validatePartitions(o runOpts, pcapOut io.Writer) error {
 		bad  bool
 		flag string
 	}{
-		{o.gptp, "-partitions needs -no-gptp (clock sync spans partitions)"},
-		{o.frer > 0, "-frer is not supported with -partitions"},
-		{o.watchdog, "-watchdog is not supported with -partitions"},
-		{o.faults != "", "-faults is not supported with -partitions"},
 		{o.reconfig != "", "-reconfig is not supported with -partitions"},
 		{o.serve != "", "-serve is not supported with -partitions"},
 		{o.progress > 0, "-progress is not supported with -partitions"},
 		{o.deadline > 0, "-deadline is not supported with -partitions"},
-		{o.hotspots, "-hotspots is not supported with -partitions"},
-		{o.traceJSON != "", "-trace-json is not supported with -partitions"},
-		{pcapOut != nil, "-pcap is not supported with -partitions"},
 	}
 	for _, r := range reasons {
 		if r.bad {
@@ -417,7 +410,7 @@ func validatePartitions(o runOpts, pcapOut io.Writer) error {
 }
 
 func run(o runOpts, pcapOut io.Writer) (*testbed.Net, error) {
-	if err := validatePartitions(o, pcapOut); err != nil {
+	if err := validatePartitions(o); err != nil {
 		return nil, err
 	}
 	wl, err := workload.Build(workload.Params{

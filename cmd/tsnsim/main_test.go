@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -57,27 +58,37 @@ func TestRunPartitioned(t *testing.T) {
 }
 
 func TestPartitionsRejectUnshardableFlags(t *testing.T) {
+	scenario := filepath.Join(t.TempDir(), "faults.json")
+	if err := os.WriteFile(scenario, []byte(`{"faults": [{"at_us": 5000, "kind": "link-down", "a": 1, "b": 2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		mut  func(*runOpts)
+		pcap io.Writer
+		want string // the refused feature the error must name
 	}{
-		{"gptp", func(o *runOpts) { o.gptp = true }},
-		{"frer", func(o *runOpts) { o.topo, o.frer = "bidir-ring", 2 }},
-		{"watchdog", func(o *runOpts) { o.watchdog = true }},
-		{"faults", func(o *runOpts) { o.faults = "x.json" }},
-		{"reconfig", func(o *runOpts) { o.reconfig = "x.json" }},
-		{"serve", func(o *runOpts) { o.serve = ":0" }},
-		{"progress", func(o *runOpts) { o.progress = 1 }},
-		{"deadline", func(o *runOpts) { o.deadline = 1 }},
-		{"hotspots", func(o *runOpts) { o.hotspots = true }},
-		{"trace-json", func(o *runOpts) { o.traceJSON = "x.json" }},
+		{"gptp", func(o *runOpts) { o.gptp = true }, nil, "gPTP"},
+		{"frer", func(o *runOpts) { o.topo, o.frer = "bidir-ring", 2 }, nil, "FRER"},
+		{"watchdog", func(o *runOpts) { o.watchdog = true }, nil, "watchdog"},
+		{"faults", func(o *runOpts) { o.faults = scenario }, nil, "fault injection"},
+		{"reconfig", func(o *runOpts) { o.reconfig = "x.json" }, nil, "-reconfig"},
+		{"serve", func(o *runOpts) { o.serve = ":0" }, nil, "-serve"},
+		{"progress", func(o *runOpts) { o.progress = 1 }, nil, "-progress"},
+		{"deadline", func(o *runOpts) { o.deadline = 1 }, nil, "-deadline"},
+		{"hotspots", func(o *runOpts) { o.hotspots = true }, nil, "tracing"},
+		{"trace-json", func(o *runOpts) { o.traceJSON = "x.json" }, nil, "tracing"},
+		{"pcap", func(o *runOpts) {}, &bytes.Buffer{}, "pcap"},
 	}
 	for _, tc := range cases {
 		o := baseOpts()
 		o.partitions = 2
 		tc.mut(&o)
-		if _, err := run(o, nil); err == nil {
+		_, err := run(o, tc.pcap)
+		if err == nil {
 			t.Errorf("%s: accepted with -partitions", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.want)
 		}
 	}
 }

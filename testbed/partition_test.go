@@ -7,6 +7,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/workload"
 )
 
@@ -252,5 +253,44 @@ func TestPartitionsClampToTopology(t *testing.T) {
 	net.Run(0, 5*sim.Millisecond)
 	if s := net.Summary(ethernet.ClassTS); s.Received == 0 {
 		t.Fatal("clamped partitioned run delivered nothing")
+	}
+}
+
+// TestPartitionsOneIsSerial pins the one-partition case. Every
+// Partitions value below 2 builds the same serial network, and the
+// partition count clamps to the switch count before validation, so a
+// feature only partitioned runs refuse still builds when one partition
+// remains. No topology constructor builds fewer than two switches, so
+// the clamp case uses the empty topology (zero switches, one
+// partition) with the watchdog, one of the refused features.
+func TestPartitionsOneIsSerial(t *testing.T) {
+	_, want := runParity(t, 0)
+	for _, parts := range []int{-1, 0, 1} {
+		net, got := runParity(t, parts)
+		if net.Partitions() != 1 || net.LookaheadWindow() != 0 {
+			t.Fatalf("Partitions=%d: Partitions() = %d, LookaheadWindow() = %v; want 1, 0",
+				parts, net.Partitions(), net.LookaheadWindow())
+		}
+		if got != want {
+			t.Fatalf("Partitions=%d: Prometheus export differs from Partitions=0:\n%s",
+				parts, firstDiff(want, got))
+		}
+	}
+
+	w, err := workload.Build(parityParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := Build(Options{Design: w.Design, Topo: &topology.Topology{},
+		EnableWatchdog: true, Partitions: 4})
+	if err != nil {
+		t.Fatalf("empty-topology build with Partitions=4 and the watchdog: %v", err)
+	}
+	if net.Partitions() != 1 || net.Watchdog == nil {
+		t.Fatalf("Partitions() = %d, watchdog %v; want 1 partition with the watchdog", net.Partitions(), net.Watchdog)
+	}
+	net.Run(0, 5*sim.Millisecond)
+	if net.Watchdog.Audits() == 0 {
+		t.Fatal("the watchdog never audited")
 	}
 }

@@ -88,19 +88,23 @@ type Options struct {
 	EnableWatchdog bool
 	// WatchdogInterval overrides the audit period (default 1 ms).
 	WatchdogInterval sim.Time
-	// Partitions, when > 1, shards the topology across that many
-	// engines and runs them in parallel with conservative lookahead
-	// (internal/psim). Exported metrics and per-flow statistics are
-	// byte-identical to a serial run (the scheduler heap-depth gauge
-	// excepted — see DESIGN.md §16). Features that would couple
-	// partitions outside the frame channel are rejected at build:
-	// gPTP, faults, watchdog, trace, pcap, FRER flows and live
-	// reconfiguration. 0 or 1 builds the ordinary serial network.
+	// Partitions shards the topology across that many engines, clamped
+	// to the switch count, and runs them in parallel with conservative
+	// lookahead (internal/psim). Values below 2 build one partition: the
+	// serial simulator. Exported metrics and per-flow statistics are
+	// byte-identical at every count (the scheduler heap-depth gauge
+	// excepted — see DESIGN.md §16). When more than one partition
+	// remains, features that would couple partitions outside the frame
+	// channel are rejected: gPTP, faults, watchdog, trace, pcap and FRER
+	// flows at build, live reconfiguration (Reconfigure, AddFlows) at
+	// call time.
 	Partitions int
 }
 
 // Net is a built network ready to run.
 type Net struct {
+	// Engine is the simulation engine; on a partitioned net it is
+	// partition 0's engine.
 	Engine    *sim.Engine
 	Switches  []*tsnswitch.Switch
 	NICs      map[int]*tsnnic.NIC
@@ -131,9 +135,9 @@ type Net struct {
 	// Options.EnableWatchdog.
 	Watchdog *reconfig.Watchdog
 
-	// Partitioned-mode state (nil/zero on serial builds): the per-shard
-	// engines with their scratch registries and collectors, the
-	// per-switch partition assignment, the host→partition map and the
+	// Partition state (one partition on a serial build): the per-shard
+	// engines with their registries and collectors, the per-switch
+	// partition assignment, the host→partition map and the
 	// barrier-stepped runner. See partition.go.
 	parts    []*part
 	assign   []int
@@ -181,8 +185,7 @@ type bankKey struct{ sw, port int }
 const flightCapacity = 1 << 16
 
 // cbsStallsName/Help label the credit-based shaper stall counter; one
-// definition so serial and partitioned builds register byte-identical
-// families.
+// definition for applyCBS and Build's family-order pin.
 const (
 	cbsStallsName = "tsn_cbs_stalls_total"
 	cbsStallsHelp = "egress selections blocked on negative CBS credit"
@@ -196,14 +199,19 @@ func Build(opts Options) (*Net, error) {
 	if opts.CableDelay == 0 {
 		opts.CableDelay = 100 * sim.Nanosecond
 	}
-	if opts.Partitions > 1 {
-		return buildPartitioned(opts)
+	nparts := max(min(opts.Partitions, opts.Topo.N), 1)
+	if nparts > 1 {
+		if err := validatePartitioned(opts); err != nil {
+			return nil, err
+		}
 	}
-	engine := sim.NewEngine()
 	n := &Net{
-		Engine:    engine,
 		NICs:      make(map[int]*tsnnic.NIC),
 		Collector: analyzer.NewCollector(),
+		Health:    &obs.Health{},
+		Metrics:   opts.Metrics,
+		assign:    psim.Assign(opts.Topo, nparts),
+		hostPart:  make(map[int]int),
 		opts:      opts,
 		specs:     opts.Flows,
 		liveCfg:   opts.Design.Config,
@@ -214,23 +222,50 @@ func Build(opts Options) (*Net, error) {
 			cbsID:    make(map[pq]int),
 		},
 	}
-
 	if opts.EnableTrace {
 		n.Tracer = &trace.Recorder{Limit: 1 << 20}
 	}
-	n.Flight = trace.NewFlight(flightCapacity)
-	n.Health = &obs.Health{}
-	if opts.Metrics != nil {
-		n.Metrics = opts.Metrics
-		opts.Metrics.Help("tsn_sim_events_total", "discrete events executed")
-		opts.Metrics.Help("tsn_sim_heap_depth_high_water", "worst-case scheduler heap depth")
-		engine.Instrument(
-			opts.Metrics.Counter("tsn_sim_events_total"),
-			opts.Metrics.Gauge("tsn_sim_heap_depth_high_water"),
-		)
-		n.Collector.Instrument(opts.Metrics)
-		n.Attr = obs.NewAttribution(opts.Metrics, n.Flight)
-		n.Collector.SetLatencySink(n.Attr)
+
+	// One engine per partition, each with the observability state its
+	// switches and NICs write into. A single partition writes straight
+	// into the shared registry and collector; several get scratch
+	// copies that Run merges back, so the hot path stays as
+	// unsynchronized as with one.
+	psParts := make([]*psim.Partition, nparts)
+	for k := range psParts {
+		p := &part{
+			engine: sim.NewEngine(),
+			reg:    opts.Metrics,
+			coll:   n.Collector,
+			flight: trace.NewFlight(flightCapacity),
+		}
+		if nparts > 1 {
+			p.coll = analyzer.NewCollector()
+			if opts.Metrics != nil {
+				p.reg = metrics.New()
+			}
+		}
+		if p.reg != nil {
+			p.reg.Help("tsn_sim_events_total", "discrete events executed")
+			p.reg.Help("tsn_sim_heap_depth_high_water", "worst-case scheduler heap depth")
+			p.engine.Instrument(
+				p.reg.Counter("tsn_sim_events_total"),
+				p.reg.Gauge("tsn_sim_heap_depth_high_water"),
+			)
+			p.coll.Instrument(p.reg)
+			p.attr = obs.NewAttribution(p.reg, p.flight)
+			p.coll.SetLatencySink(p.attr)
+		}
+		n.parts = append(n.parts, p)
+		psParts[k] = psim.NewPartition(p.engine)
+	}
+	n.Engine = n.parts[0].engine
+	if nparts == 1 {
+		n.Flight, n.Attr = n.parts[0].flight, n.parts[0].attr
+	} else if opts.Metrics != nil {
+		// The merge target for per-flow attribution aggregates; its
+		// histograms live in the partition registries (nil here).
+		n.Attr = obs.NewAttribution(nil, nil)
 	}
 
 	// Access ports run at AccessRate when configured.
@@ -242,11 +277,15 @@ func Build(opts Options) (*Net, error) {
 		}
 	}
 
-	// Switches, one per topology node.
+	// Switches, one per topology node, each on its partition's engine.
+	// The ascending-ID loop plus ascending-ID partition blocks keep
+	// every partition registry's per-switch samples in the one-partition
+	// registration order.
 	for s := 0; s < opts.Topo.N; s++ {
+		p := n.parts[n.assign[s]]
 		cfg := opts.Design.SwitchConfig(s, opts.Topo.PortCount(s))
 		cfg.SharedBufferNum = opts.SharedBufferNum
-		cfg.Metrics = opts.Metrics
+		cfg.Metrics = p.reg
 		if opts.AccessRate > 0 {
 			cfg.PortRates = make([]ethernet.Rate, cfg.Ports)
 			for pt := 0; pt < cfg.Ports; pt++ {
@@ -255,36 +294,59 @@ func Build(opts Options) (*Net, error) {
 				}
 			}
 		}
-		sw := tsnswitch.New(engine, cfg)
+		sw := tsnswitch.New(p.engine, cfg)
 		sw.Tracer = n.Tracer
-		sw.Flight = n.Flight
+		sw.Flight = p.flight
 		n.Switches = append(n.Switches, sw)
 	}
 
-	// Trunk cables.
+	// Trunk cables. Links inside a partition are plain cables; cut
+	// links additionally reroute their deliveries through a mailbox per
+	// direction, registered as the receiving partition's inbox in
+	// TrunkLinks order (A→B then B→A) so drain order is deterministic.
+	var cuts []psim.CutLink
 	for _, l := range opts.Topo.TrunkLinks() {
-		netdev.Connect(
-			n.Switches[l.A.Switch].Ifc(l.A.Port),
-			n.Switches[l.B.Switch].Ifc(l.B.Port),
-			opts.CableDelay,
-		)
+		a := n.Switches[l.A.Switch].Ifc(l.A.Port)
+		b := n.Switches[l.B.Switch].Ifc(l.B.Port)
+		netdev.Connect(a, b, opts.CableDelay)
+		if n.assign[l.A.Switch] == n.assign[l.B.Switch] {
+			continue
+		}
+		for _, dir := range []struct {
+			from, to *netdev.Ifc
+			rxPart   int
+		}{
+			{a, b, n.assign[l.B.Switch]},
+			{b, a, n.assign[l.A.Switch]},
+		} {
+			m := psim.NewMailbox(mailboxCapacity)
+			psParts[dir.rxPart].AddInbox(m)
+			rx := dir.to
+			dir.from.SetRemotePost(func(f *ethernet.Frame, at, wire sim.Time) {
+				m.Post(psim.Message{To: rx, Frame: f, At: at, Wire: wire})
+			})
+			cuts = append(cuts, psim.CutLink{Prop: opts.CableDelay, Rate: dir.from.Rate()})
+		}
 	}
+	n.runner = psim.NewRunner(psParts, psim.Lookahead(cuts))
 
-	// End stations, optionally tapped into a pcap capture.
-	var capture *pcap.Writer
+	// End stations, each on (and recording into) the partition of the
+	// switch it attaches to, optionally tapped into a pcap capture.
+	// NIC↔switch cables are never cut.
 	if opts.Pcap != nil {
-		capture = pcap.NewWriter(opts.Pcap)
-		n.Capture = capture
+		n.Capture = pcap.NewWriter(opts.Pcap)
 	}
-	for _, h := range opts.Topo.Hosts() {
+	for _, h := range sortedHosts(opts.Topo) {
 		at, _ := opts.Topo.HostAttach(h)
+		pk := n.assign[at.Switch]
+		n.hostPart[h] = pk
 		nicRate := opts.Design.Config.LinkRate
 		if opts.AccessRate > 0 {
 			nicRate = opts.AccessRate
 		}
-		nic := tsnnic.New(engine, h, nicRate, n.Collector)
+		nic := tsnnic.New(n.parts[pk].engine, h, nicRate, n.parts[pk].coll)
 		netdev.Connect(nic.Ifc(), n.Switches[at.Switch].Ifc(at.Port), opts.CableDelay)
-		if capture != nil {
+		if capture := n.Capture; capture != nil {
 			nic.Ifc().SetSniffer(func(f *ethernet.Frame, at sim.Time) {
 				// Capture errors only surface through Capture.Count.
 				_ = capture.WriteFrame(at, f)
@@ -296,7 +358,7 @@ func Build(opts Options) (*Net, error) {
 
 	// gPTP domain over the trunks, grandmaster at switch 0.
 	if opts.EnableGPTP {
-		dom := gptp.NewDomain(engine, gptp.DefaultConfig())
+		dom := gptp.NewDomain(n.Engine, gptp.DefaultConfig())
 		rng := sim.NewRand(opts.Seed ^ 0x74657374)
 		nodes := make([]*gptp.Node, opts.Topo.N)
 		for s := 0; s < opts.Topo.N; s++ {
@@ -323,10 +385,23 @@ func Build(opts Options) (*Net, error) {
 		return nil, err
 	}
 
+	// Family-order parity: one partition registers the CBS stall family
+	// (during applyCBS) before the reconfiguration families. With
+	// several, applyCBS only touched the partitions that own RC cells;
+	// if partition 0 owns none, its registry — which leads the merge and
+	// therefore dictates family order — would place the reconfig
+	// families first. Pre-registering the family here (a no-op when
+	// partition 0 already has it) pins the one-partition order.
+	if opts.Metrics != nil && !opts.DisableCBS && len(n.prog.cbsID) > 0 {
+		n.parts[0].reg.Help(cbsStallsName, cbsStallsHelp)
+	}
+
 	// Live-reconfiguration controller: always present, so fault
 	// scenarios can arm mid-apply failures even before the first
-	// Reconfigure call.
-	n.Reconfig = reconfig.NewController(engine, opts.Metrics)
+	// Reconfigure call. Its metric families register at construction in
+	// partition 0's registry; partitioned nets refuse live
+	// reconfiguration, so there they only ever export zero counters.
+	n.Reconfig = reconfig.NewController(n.Engine, n.parts[0].reg)
 
 	// Invariant watchdog over every switch and recovery table.
 	if opts.EnableWatchdog {
@@ -334,7 +409,7 @@ func Build(opts Options) (*Net, error) {
 		if interval <= 0 {
 			interval = sim.Millisecond
 		}
-		n.Watchdog = reconfig.NewWatchdog(engine, opts.Metrics, interval)
+		n.Watchdog = reconfig.NewWatchdog(n.Engine, opts.Metrics, interval)
 		for _, sw := range n.Switches {
 			n.Watchdog.Watch(sw)
 		}
@@ -351,7 +426,7 @@ func Build(opts Options) (*Net, error) {
 			n.Health.SetDegraded(degraded, w.LastDetail())
 			n.Health.SetAudit(w.Audits(), w.TotalViolations())
 			if degraded && !wasDegraded && n.Attr != nil {
-				n.Attr.DumpNow("watchdog:degraded", engine.Now())
+				n.Attr.DumpNow("watchdog:degraded", n.Engine.Now())
 			}
 			wasDegraded = degraded
 		}
@@ -361,10 +436,10 @@ func Build(opts Options) (*Net, error) {
 	// Fault scenario: resolve selectors against the built network and
 	// schedule every fault (absolute sim time, from now = 0).
 	if opts.Faults != nil {
-		n.Injector = faults.NewInjector(engine, opts.Seed, opts.Metrics)
+		n.Injector = faults.NewInjector(n.Engine, opts.Seed, opts.Metrics)
 		if n.Attr != nil {
 			n.Injector.OnInject = func(kind string) {
-				n.Attr.DumpNow("fault:"+kind, engine.Now())
+				n.Attr.DumpNow("fault:"+kind, n.Engine.Now())
 			}
 		}
 		if err := n.Injector.Apply(opts.Faults, n.faultBindings()); err != nil {
@@ -722,11 +797,12 @@ func (n *Net) InstallTAS(sch *tas.Schedule) error {
 
 // Run executes the scenario: gPTP (if enabled) converges during warmup,
 // flows generate for duration, then the network drains. Flow generation
-// begins at warmup and stops at warmup+duration.
+// begins at warmup and stops at warmup+duration. Each flow starts on its
+// source NIC's partition engine. A partitioned net folds its partitions'
+// scratch state into the shared view afterwards, so it runs only once.
 func (n *Net) Run(warmup, duration sim.Time) {
-	if n.parts != nil {
-		n.runPartitioned(warmup, duration)
-		return
+	if n.merged {
+		panic("testbed: partitioned Run may only be called once")
 	}
 	start := n.Engine.Now() + warmup
 	stop := start + duration
@@ -738,13 +814,17 @@ func (n *Net) Run(warmup, duration sim.Time) {
 		}
 		nic.SetStopTime(stop)
 		spec := spec
-		n.Engine.At(start, fmt.Sprintf("start-flow%d", spec.ID), func(*sim.Engine) {
+		eng := n.parts[n.hostPart[spec.SrcHost]].engine
+		eng.At(start, fmt.Sprintf("start-flow%d", spec.ID), func(*sim.Engine) {
 			nic.StartFlow(spec)
 		})
 	}
-	// Drain: two slots plus cable time covers any in-flight CQF frame.
+	// Drain for four CQF slots plus 1 ms after the flows stop.
 	drain := 4*n.opts.Design.Config.SlotSize + sim.Millisecond
-	n.Engine.RunUntil(stop + drain)
+	n.runner.RunUntil(stop + drain)
+	if len(n.parts) > 1 {
+		n.mergeResults()
+	}
 }
 
 // telemetryPublishInterval is the simulated-time cadence at which the
@@ -844,7 +924,7 @@ func (n *Net) reconfigBindings() reconfig.Bindings {
 // The returned transaction resolves (committed or rolled back) at its
 // CommitTime; inspect State and Err after the engine passes it.
 func (n *Net) Reconfigure(cfg core.Config) (*reconfig.Txn, error) {
-	if n.parts != nil {
+	if len(n.parts) > 1 {
 		return nil, fmt.Errorf("testbed: live reconfiguration is not supported in partitioned runs (a commit would touch switches across partition goroutines)")
 	}
 	txn, err := n.Reconfig.Begin(n.liveCfg, cfg, n.reconfigBindings())
@@ -867,7 +947,7 @@ func (n *Net) Reconfigure(cfg core.Config) (*reconfig.Txn, error) {
 // new flows stop with the rest of the workload. On a programming error
 // the tables may hold a partial install.
 func (n *Net) AddFlows(specs []*flows.Spec, start sim.Time) error {
-	if n.parts != nil {
+	if len(n.parts) > 1 {
 		return fmt.Errorf("testbed: AddFlows is not supported in partitioned runs (table programming would race the partition workers)")
 	}
 	for _, spec := range specs {
