@@ -50,7 +50,7 @@ bench-json:
 # baseline: >20% ns/op slowdown fails, as does any allocs/op increase
 # on zero-alloc benchmarks (>0.1% on allocation-heavy ones). Samples
 # best-of-3 like bench-json so host noise doesn't trip the gate.
-BENCH_BASELINE ?= BENCH_20260808.json
+BENCH_BASELINE ?= BENCH_20261017.json
 bench-compare:
 	go test -bench=. -benchmem -short -count=3 -timeout=60m . | go run ./cmd/benchjson -o /tmp/bench_current.json
 	go run ./cmd/benchjson -compare $(BENCH_BASELINE) /tmp/bench_current.json

@@ -210,7 +210,8 @@ func Compare(base, cur *Doc, thresholdPct float64) (regs []Regression, added, re
 }
 
 // runCompare implements `benchjson -compare old.json new.json` and
-// returns the process exit code: 0 clean, 1 regression, 2 usage/IO.
+// returns the process exit code: 0 clean, 1 regression, 2 usage/IO or
+// no benchmark in common with the baseline.
 func runCompare(args []string, thresholdPct float64, stdout, stderr io.Writer) int {
 	if len(args) != 2 {
 		fmt.Fprintln(stderr, "benchjson: usage: benchjson -compare [-threshold pct] old.json new.json")
@@ -233,9 +234,17 @@ func runCompare(args []string, thresholdPct float64, stdout, stderr io.Writer) i
 	for _, name := range removed {
 		fmt.Fprintf(stdout, "missing benchmark: %s (was in baseline)\n", name)
 	}
+	compared := len(cur.Benchmarks) - len(added)
+	if compared == 0 && len(base.Benchmarks) > 0 {
+		// Nothing was judged, so "no regressions" would be vacuous. The
+		// usual cause is a GOMAXPROCS name suffix (-2) that the baseline
+		// host did not add, or vice versa: rerun with a matching -cpu.
+		fmt.Fprintln(stderr, "benchjson: no benchmark in common with the baseline (GOMAXPROCS suffix mismatch? rerun with a matching -cpu)")
+		return 2
+	}
 	if len(regs) == 0 {
 		fmt.Fprintf(stdout, "benchjson: %d benchmarks compared, no regressions (threshold %.0f%% ns/op, %.1f%% allocs/op)\n",
-			len(cur.Benchmarks), thresholdPct, allocNoisePct)
+			compared, thresholdPct, allocNoisePct)
 		return 0
 	}
 	for _, r := range regs {

@@ -207,3 +207,27 @@ func TestRunCompareExitCodes(t *testing.T) {
 		t.Fatalf("missing file exit %d", code)
 	}
 }
+
+func TestRunCompareNothingInCommonFails(t *testing.T) {
+	// A run whose names all differ from the baseline (here by the
+	// GOMAXPROCS suffix) judged nothing; it must not report a pass.
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.json")
+	cur := filepath.Join(dir, "cur.json")
+	for path, name := range map[string]string{old: "BenchmarkA", cur: "BenchmarkA-2"} {
+		b, err := json.Marshal(docOf(bench(name, 100, 0)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out, errw strings.Builder
+	if code := runCompare([]string{old, cur}, 20, &out, &errw); code != 2 {
+		t.Fatalf("disjoint compare exit %d, want 2: %s", code, out.String())
+	}
+	if !strings.Contains(errw.String(), "no benchmark in common") {
+		t.Fatalf("stderr = %q", errw.String())
+	}
+}

@@ -103,7 +103,10 @@ func (f *Frame) BufferBytes() int { return f.WireBytes() }
 // dataplane (NIC injection or Unmarshal). Per-hop forwarding therefore
 // copies only the header via CloneHeader — the payload bytes are shared
 // by every copy in flight, which removes the dominant per-hop
-// allocation of the simulator. Header fields (VID, PCP, addresses) on
+// allocation of the simulator. The same rule lets one payload back many
+// frames: the tester generates every payload as a capacity-capped slice
+// of a single shared zero buffer, so no payload may be written or
+// appended to in place. Header fields (VID, PCP, addresses) on
 // a CloneHeader copy are the copy's own and may be rewritten freely
 // (FRER re-tagging does). A path that genuinely needs to rewrite
 // payload bytes (a PTP correction-field rewrite in place, fault-model

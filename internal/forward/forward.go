@@ -37,30 +37,34 @@ func MCID(dst ethernet.MAC) uint16 {
 	return binary.BigEndian.Uint16(dst[4:6])
 }
 
-// Resolve parses the frame header and returns the set of output ports.
-// ok is false when no table entry matches (the frame is dropped; the
-// testbed installs static routes for every flow, so a miss indicates a
-// misconfiguration, which the stats surface).
-func (e *Engine) Resolve(f *ethernet.Frame) (ports []int, ok bool) {
+// Resolve parses the frame header and appends the set of output ports
+// to buf, returning the extended slice. Callers on the per-frame path
+// pass a buffer they own and reuse (buf[:0]), so a lookup allocates
+// nothing once the buffer has grown to the widest multicast set; a nil
+// buf is fine for one-off lookups. ok is false when no table entry
+// matches (the frame is dropped; the testbed installs static routes
+// for every flow, so a miss indicates a misconfiguration, which the
+// stats surface); buf is then returned unextended.
+func (e *Engine) Resolve(f *ethernet.Frame, buf []int) (ports []int, ok bool) {
 	if f.Dst.IsMulticast() && !f.Dst.IsBroadcast() {
 		mask, hit := e.Multicast.Lookup(MCID(f.Dst))
 		if !hit {
 			e.noRoute++
-			return nil, false
+			return buf, false
 		}
 		for p := 0; p < 32; p++ {
 			if mask&(1<<uint(p)) != 0 {
-				ports = append(ports, p)
+				buf = append(buf, p)
 			}
 		}
-		return ports, true
+		return buf, true
 	}
 	p, hit := e.Unicast.Lookup(f.Dst, f.VID)
 	if !hit {
 		e.noRoute++
-		return nil, false
+		return buf, false
 	}
-	return []int{p}, true
+	return append(buf, p), true
 }
 
 // NoRoute returns the number of lookup misses.

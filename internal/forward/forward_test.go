@@ -12,7 +12,7 @@ func TestResolveUnicast(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &ethernet.Frame{Dst: ethernet.HostMAC(1), VID: 10}
-	ports, ok := e.Resolve(f)
+	ports, ok := e.Resolve(f, nil)
 	if !ok || len(ports) != 1 || ports[0] != 2 {
 		t.Fatalf("Resolve = (%v,%v)", ports, ok)
 	}
@@ -21,7 +21,7 @@ func TestResolveUnicast(t *testing.T) {
 func TestResolveMiss(t *testing.T) {
 	e := New(16, 4)
 	f := &ethernet.Frame{Dst: ethernet.HostMAC(9), VID: 1}
-	if _, ok := e.Resolve(f); ok {
+	if _, ok := e.Resolve(f, nil); ok {
 		t.Fatal("miss resolved")
 	}
 	if e.NoRoute() != 1 {
@@ -35,7 +35,7 @@ func TestResolveMulticast(t *testing.T) {
 	if err := e.Multicast.Add(MCID(grp), 0b1101); err != nil {
 		t.Fatal(err)
 	}
-	ports, ok := e.Resolve(&ethernet.Frame{Dst: grp})
+	ports, ok := e.Resolve(&ethernet.Frame{Dst: grp}, nil)
 	if !ok {
 		t.Fatal("multicast miss")
 	}
@@ -52,7 +52,7 @@ func TestResolveMulticast(t *testing.T) {
 
 func TestResolveMulticastMiss(t *testing.T) {
 	e := New(16, 4)
-	if _, ok := e.Resolve(&ethernet.Frame{Dst: ethernet.GroupMAC(7)}); ok {
+	if _, ok := e.Resolve(&ethernet.Frame{Dst: ethernet.GroupMAC(7)}, nil); ok {
 		t.Fatal("multicast miss resolved")
 	}
 }
@@ -67,7 +67,7 @@ func TestZeroMulticastTable(t *testing.T) {
 	// Customized switches split multicast into unicast and run with a
 	// zero-entry multicast table.
 	e := New(16, 0)
-	if _, ok := e.Resolve(&ethernet.Frame{Dst: ethernet.GroupMAC(1)}); ok {
+	if _, ok := e.Resolve(&ethernet.Frame{Dst: ethernet.GroupMAC(1)}, nil); ok {
 		t.Fatal("zero-capacity multicast resolved")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/fifo"
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
 )
@@ -18,6 +19,14 @@ import (
 type Receiver interface {
 	Receive(f *ethernet.Frame, on *Ifc)
 }
+
+// Scheduling labels. Constant, so scheduling a frame event never builds
+// a string; the engine reads a label only in its scheduling panics.
+const (
+	labelDeliver  = "deliver"
+	labelRDeliver = "rdeliver"
+	labelTxDone   = "txdone"
+)
 
 // Ifc is one direction-agnostic Ethernet interface. Transmission is
 // exclusive: the owner must wait for the completion callback before
@@ -29,6 +38,23 @@ type Ifc struct {
 	rate   ethernet.Rate
 	prop   sim.Time
 	peer   *Ifc
+
+	// Transmit side. The MAC is exclusive, so one TxHandle serves every
+	// transmission in turn; onDone is the current transmission's
+	// completion callback and txDone the engine handler that runs it,
+	// bound once in NewIfc.
+	tx     TxHandle
+	onDone func()
+	txDone sim.Handler
+
+	// Receive side: frames on the wire toward this interface, oldest
+	// first. Arrivals on one cable strictly increase (each transmission
+	// starts after the previous one's serialization plus inter-frame
+	// gap), so every delivery event pops the head, and an aborted
+	// transmission — always the sender's latest — is the tail.
+	// deliverFn is the one delivery handler, bound once.
+	inflight  fifo.Queue[inflight]
+	deliverFn sim.Handler
 
 	busyUntil sim.Time
 	txFrames  uint64
@@ -78,12 +104,26 @@ type Ifc struct {
 	mCorrupt     metrics.Counter
 }
 
+// inflight is one frame on the wire toward the receiving interface:
+// the receiver's header copy, the final fragment's serialization time
+// (the attribution hop closure needs it), the sender's link epoch at
+// transmit time, and whether it crossed a cut link (no fault checks).
+type inflight struct {
+	frame *ethernet.Frame
+	wire  sim.Time
+	epoch uint64
+	cut   bool
+}
+
 // NewIfc creates an interface owned by owner at the given line rate.
 func NewIfc(engine *sim.Engine, name string, owner Receiver, rate ethernet.Rate) *Ifc {
 	if rate <= 0 {
 		panic("netdev: non-positive rate")
 	}
-	return &Ifc{Name: name, engine: engine, owner: owner, rate: rate}
+	i := &Ifc{Name: name, engine: engine, owner: owner, rate: rate}
+	i.txDone = i.completeTx
+	i.deliverFn = i.deliver
+	return i
 }
 
 // Connect joins a and b with a cable of the given propagation delay.
@@ -191,16 +231,52 @@ func (i *Ifc) SetRemotePost(fn func(f *ethernet.Frame, at, wire sim.Time)) { i.r
 // engine would have performed. wire is the final fragment's
 // serialization time, needed to close the latency-attribution hop.
 // Fault and impairment checks are skipped: partitioned runs carry
-// neither (validated at build), so a cut link is always clean.
+// neither (validated at build), so a cut link is always clean. Calls
+// must come in arrival order, as the per-link mailbox drains them.
 func (i *Ifc) ScheduleRemoteDelivery(f *ethernet.Frame, at, wire sim.Time) {
-	i.engine.AtPrio(at, i.deliverPrio, "rdeliver:"+i.Name, func(e *sim.Engine) {
-		i.rxFrames++
-		f.Span.OnDeliver(e.Now(), i.prop, wire)
-		i.owner.Receive(f, i)
-		if i.sniff != nil {
-			i.sniff(f, e.Now())
+	i.inflight.Push(inflight{frame: f, wire: wire, cut: true})
+	i.engine.AtPrio(at, i.deliverPrio, labelRDeliver, i.deliverFn)
+}
+
+// deliver hands the oldest frame on the wire to this interface's
+// owner. Link faults and impairments are applied here, at delivery
+// time, against the sender's state, so the transmitting MAC's timing
+// is never perturbed. The epoch check catches a down/up flap between
+// serialization and arrival: a frame launched before (or during) an
+// outage is lost even if the link is back up now. Frames from a cut
+// link skip the checks.
+func (i *Ifc) deliver(e *sim.Engine) {
+	now := e.Now()
+	in := i.inflight.Pop()
+	if !in.cut {
+		s := i.peer
+		if s.down || s.epoch != in.epoch {
+			s.dropLinkDown++
+			s.mLinkDown.Inc()
+			return
 		}
-	})
+		if s.lossProb > 0 && s.impairRng.Float64() < s.lossProb {
+			s.dropLoss++
+			s.mLoss.Inc()
+			return
+		}
+		if s.corruptProb > 0 && s.impairRng.Float64() < s.corruptProb {
+			// Bit error on the wire: the receiver's FCS check fails
+			// and the MAC discards the frame silently.
+			s.dropCorrupt++
+			s.mCorrupt.Inc()
+			return
+		}
+	}
+	i.rxFrames++
+	// Close the latency-attribution hop: propagation plus the final
+	// fragment's serialization; the remainder since the last boundary
+	// books as residence at the transmitting node.
+	in.frame.Span.OnDeliver(now, i.prop, in.wire)
+	i.owner.Receive(in.frame, i)
+	if i.sniff != nil {
+		i.sniff(in.frame, now)
+	}
 }
 
 // Busy reports whether a transmission is occupying the wire now.
@@ -221,7 +297,10 @@ func (i *Ifc) Transmit(f *ethernet.Frame, onDone func()) {
 }
 
 // TxHandle tracks one in-flight transmission so a preemption-capable
-// MAC (802.3br) can interrupt it.
+// MAC (802.3br) can interrupt it. Each interface owns a single handle
+// that every transmission reuses — the MAC is exclusive, so at most one
+// is ever in flight — which makes a handle valid only until the next
+// Transmit, TransmitHandle or Resume on the same interface.
 type TxHandle struct {
 	ifc       *Ifc
 	frame     *ethernet.Frame
@@ -232,7 +311,8 @@ type TxHandle struct {
 	completed bool
 }
 
-// TransmitHandle is Transmit returning an abort handle.
+// TransmitHandle is Transmit returning an abort handle, valid until the
+// interface's next transmission.
 func (i *Ifc) TransmitHandle(f *ethernet.Frame, onDone func()) *TxHandle {
 	return i.transmitBytes(f, f.WireBytes(), onDone)
 }
@@ -254,67 +334,37 @@ func (i *Ifc) transmitBytes(f *ethernet.Frame, wireBytes int, onDone func()) *Tx
 	i.txFrames++
 	i.txBytes += uint64(wireBytes)
 
-	h := &TxHandle{ifc: i, frame: f, wireBytes: wireBytes, started: now}
+	h := &i.tx
+	*h = TxHandle{ifc: i, frame: f, wireBytes: wireBytes, started: now}
+	i.onDone = onDone
 	// Header-only copy: the receiver gets its own header fields but
 	// shares the payload bytes, which are immutable once in flight
 	// (see the ethernet payload ownership contract).
 	deliver := f.CloneHeader()
-	peer := i.peer
-	epoch := i.epoch
 	if i.remotePost != nil {
 		// Cut link: the receiving partition schedules the delivery on
 		// its own engine. No local deliver event exists, so Abort()
 		// cannot cancel it — the partitioned testbed rejects
 		// preemption-enabled designs for exactly this reason.
 		i.remotePost(deliver, now+wire+i.prop, wire)
-		h.done = i.engine.After(occupancy, "txdone:"+i.Name, func(*sim.Engine) {
-			h.completed = true
-			if onDone != nil {
-				onDone()
-			}
-		})
-		return h
+	} else {
+		peer := i.peer
+		peer.inflight.Push(inflight{frame: deliver, wire: wire, epoch: i.epoch})
+		h.deliver = i.engine.AtPrio(now+wire+i.prop, peer.deliverPrio, labelDeliver, peer.deliverFn)
 	}
-	h.deliver = i.engine.AtPrio(now+wire+i.prop, peer.deliverPrio, "deliver:"+i.Name, func(e *sim.Engine) {
-		// Link faults and impairments are applied at delivery time so
-		// the transmitting MAC's timing is never perturbed. The epoch
-		// check catches a down/up flap between serialization and
-		// arrival: a frame launched before (or during) an outage is
-		// lost even if the link is back up now.
-		if i.down || i.epoch != epoch {
-			i.dropLinkDown++
-			i.mLinkDown.Inc()
-			return
-		}
-		if i.lossProb > 0 && i.impairRng.Float64() < i.lossProb {
-			i.dropLoss++
-			i.mLoss.Inc()
-			return
-		}
-		if i.corruptProb > 0 && i.impairRng.Float64() < i.corruptProb {
-			// Bit error on the wire: the receiver's FCS check fails
-			// and the MAC discards the frame silently.
-			i.dropCorrupt++
-			i.mCorrupt.Inc()
-			return
-		}
-		peer.rxFrames++
-		// Close the latency-attribution hop: propagation plus this
-		// (final) fragment's serialization; the remainder since the last
-		// boundary books as residence at the transmitting node.
-		deliver.Span.OnDeliver(e.Now(), i.prop, wire)
-		peer.owner.Receive(deliver, peer)
-		if peer.sniff != nil {
-			peer.sniff(deliver, e.Now())
-		}
-	})
-	h.done = i.engine.After(occupancy, "txdone:"+i.Name, func(*sim.Engine) {
-		h.completed = true
-		if onDone != nil {
-			onDone()
-		}
-	})
+	h.done = i.engine.After(occupancy, labelTxDone, i.txDone)
 	return h
+}
+
+// completeTx marks the in-flight transmission complete and runs its
+// callback, which may start the next transmission.
+func (i *Ifc) completeTx(*sim.Engine) {
+	i.tx.completed = true
+	fn := i.onDone
+	i.onDone = nil
+	if fn != nil {
+		fn()
+	}
 }
 
 // Frame returns the frame this handle is transmitting.
@@ -343,17 +393,23 @@ func (h *TxHandle) Abort() (remainingBytes int, ok bool) {
 	if sentBytes < minFragmentBytes || remaining < minFragmentBytes {
 		return 0, false
 	}
-	if !h.ifc.engine.Cancel(h.deliver) || !h.ifc.engine.Cancel(h.done) {
+	if !h.ifc.engine.Cancel(h.deliver) {
+		return 0, false
+	}
+	h.ifc.peer.inflight.DropTail()
+	if !h.ifc.engine.Cancel(h.done) {
 		return 0, false
 	}
 	h.completed = true
+	h.ifc.onDone = nil
 	// The wire frees after the fragment's mCRC + IFG.
 	h.ifc.busyUntil = now + ethernet.TxTime(ethernet.OverheadBytes, h.ifc.rate)
 	return remaining + fragOverheadBytes, true
 }
 
 // Resume continues an aborted frame: transmits remainingBytes and
-// delivers the full original frame when they complete.
+// delivers the full original frame when they complete. It reuses the
+// interface's one TxHandle, like every transmission.
 func (i *Ifc) Resume(f *ethernet.Frame, remainingBytes int, onDone func()) *TxHandle {
 	return i.transmitBytes(f, remainingBytes, onDone)
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"github.com/tsnbuilder/tsnbuilder/internal/metrics"
@@ -19,56 +18,125 @@ type Handler func(e *Engine)
 // deliveries order by interface identity, which is what lets a
 // partitioned run reproduce the serial execution order exactly: an
 // interface index is the same number no matter which engine schedules
-// the delivery, whereas a creation seq is not.
+// the delivery, whereas a creation seq is not. The (at, prio, seq) key
+// itself lives inline in the heap entry, not here.
 //
 // Popped and canceled events are recycled through the engine's free
 // list, so steady-state scheduling allocates nothing. gen increments on
 // every recycle; an EventRef snapshots it so a stale ref can never
 // resurrect (or cancel) a reused event.
 type event struct {
-	at    Time
-	prio  uint64
-	seq   uint64
 	fn    Handler
 	index int // heap index, -1 once popped or canceled
 	label string
 	gen   uint32
 }
 
-// eventHeap implements container/heap ordered by (at, prio, seq).
-type eventHeap []*event
+// entry is one heap slot: the ordering key stored inline so sifting
+// compares entries without dereferencing the event they point at.
+type entry struct {
+	at   Time
+	prio uint64
+	seq  uint64
+	ev   *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// less orders entries by (at, prio, seq). seq is unique per engine, so
+// the order is total and every correct heap pops the same sequence.
+func (a *entry) less(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[i].prio != h[j].prio {
-		return h[i].prio < h[j].prio
+	if a.prio != b.prio {
+		return a.prio < b.prio
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// heapArity is the fan-out of the event heap. A 4-ary heap is half as
+// deep as a binary one and its four children share a cache line or
+// two, which wins on the pop-heavy dispatch loop.
+const heapArity = 4
+
+// eventHeap is a 4-ary min-heap of entries ordered by (at, prio, seq).
+// Every move updates the moved event's index so Cancel can remove an
+// interior entry.
+type eventHeap []entry
+
+// set places x at slot i and records the position on its event.
+func (h eventHeap) set(i int, x entry) {
+	h[i] = x
+	x.ev.index = i
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+// up sifts the entry at i toward the root.
+func (h eventHeap) up(i int) {
+	x := h[i]
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !x.less(&h[parent]) {
+			break
+		}
+		h.set(i, h[parent])
+		i = parent
+	}
+	h.set(i, x)
 }
 
-func (h *eventHeap) Pop() any {
+// down sifts the entry at i toward the leaves and reports whether it
+// moved.
+func (h eventHeap) down(i int) bool {
+	n := len(h)
+	x := h[i]
+	start := i
+	for {
+		first := heapArity*i + 1
+		if first >= n {
+			break
+		}
+		best := first
+		end := first + heapArity
+		if end > n {
+			end = n
+		}
+		for c := first + 1; c < end; c++ {
+			if h[c].less(&h[best]) {
+				best = c
+			}
+		}
+		if !h[best].less(&x) {
+			break
+		}
+		h.set(i, h[best])
+		i = best
+	}
+	h.set(i, x)
+	return i != start
+}
+
+// push appends x and restores the heap order.
+func (h *eventHeap) push(x entry) {
+	*h = append(*h, x)
+	h.up(len(*h) - 1)
+}
+
+// remove takes out the entry at i (the root for a pop, any slot for a
+// cancel) and returns its event with index -1. The last entry fills the
+// hole and sifts down, or up when it is smaller than the hole's parent.
+func (h *eventHeap) remove(i int) *event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev := old[i].ev
+	last := old[n]
+	old[n] = entry{}
+	*h = old[:n]
+	if i != n {
+		(*h).set(i, last)
+		if !(*h).down(i) && i > 0 {
+			(*h).up(i)
+		}
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
 }
 
@@ -188,9 +256,9 @@ func (e *Engine) AtPrio(at Time, prio uint64, label string, fn Handler) EventRef
 		panic(fmt.Sprintf("sim: scheduling %q at %v which is before now %v", label, at, e.now))
 	}
 	ev := e.alloc()
-	ev.at, ev.prio, ev.seq, ev.fn, ev.label = at, prio, e.nextSeq, fn, label
+	ev.fn, ev.label = fn, label
+	e.queue.push(entry{at: at, prio: prio, seq: e.nextSeq, ev: ev})
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
 	e.metHeapHW.SetMax(int64(len(e.queue)))
 	return EventRef{ev: ev, gen: ev.gen}
 }
@@ -211,8 +279,7 @@ func (e *Engine) Cancel(r EventRef) bool {
 	if !r.Valid() {
 		return false
 	}
-	heap.Remove(&e.queue, r.ev.index)
-	e.recycle(r.ev)
+	e.recycle(e.queue.remove(r.ev.index))
 	return true
 }
 
@@ -234,8 +301,8 @@ func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*event)
-	e.now = ev.at
+	e.now = e.queue[0].at
+	ev := e.queue.remove(0)
 	e.executed++
 	e.metExecuted.Inc()
 	if e.progressFn != nil {

@@ -82,7 +82,10 @@ func Residences(rec *Recorder) []Residence {
 		if out[i].Switch != out[j].Switch {
 			return out[i].Switch < out[j].Switch
 		}
-		return out[i].Port < out[j].Port
+		if out[i].Port != out[j].Port {
+			return out[i].Port < out[j].Port
+		}
+		return out[i].Queue < out[j].Queue
 	})
 	return out
 }

@@ -69,6 +69,23 @@ func TestResidencesMultiHopPairing(t *testing.T) {
 	}
 }
 
+func TestResidencesTieOrderIsFixed(t *testing.T) {
+	// Two queues of one port with equal worst residence: the order must
+	// not depend on map iteration, so the lower queue always comes first.
+	var r Recorder
+	journey(&r, 1, 0, 0, 2, 7, 0, 10*sim.Microsecond)
+	journey(&r, 2, 0, 0, 2, 6, 0, 10*sim.Microsecond)
+	for i := 0; i < 50; i++ {
+		res := Residences(&r)
+		if len(res) != 2 {
+			t.Fatalf("cells = %d, want 2", len(res))
+		}
+		if res[0].Queue != 6 || res[1].Queue != 7 {
+			t.Fatalf("call %d: order %s, %s; want q6 before q7", i, res[0], res[1])
+		}
+	}
+}
+
 func TestTopResidences(t *testing.T) {
 	var r Recorder
 	for i := 0; i < 5; i++ {

@@ -14,6 +14,7 @@ import (
 
 	"github.com/tsnbuilder/tsnbuilder/internal/analyzer"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
+	"github.com/tsnbuilder/tsnbuilder/internal/fifo"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
 	"github.com/tsnbuilder/tsnbuilder/internal/frer"
 	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
@@ -28,8 +29,10 @@ type NIC struct {
 	ifc    *netdev.Ifc
 
 	// Strict-priority MAC FIFOs indexed by class (TS > RC > BE).
-	fifos [3][]*ethernet.Frame
+	fifos [3]fifo.Queue[*ethernet.Frame]
 	busy  bool
+	// txDone is the MAC completion callback, bound once in New.
+	txDone func()
 
 	// Collector receives frames arriving at this NIC; shared collectors
 	// across NICs are allowed (one "analyzer" box).
@@ -64,8 +67,25 @@ func New(engine *sim.Engine, hostID int, rate ethernet.Rate, col *analyzer.Colle
 		seq:       make(map[uint32]uint32),
 	}
 	n.ifc = netdev.NewIfc(engine, fmt.Sprintf("nic%d", hostID), n, rate)
+	n.txDone = func() {
+		n.busy = false
+		n.drain()
+	}
 	return n
 }
+
+// zeroPayload backs every generated payload. The tester's payload bytes
+// carry no information (FlowID/Seq travel as frame fields), and payloads
+// are immutable once injected (the ethernet payload ownership contract),
+// so all frames share this one read-only buffer. Flow validation caps
+// wire sizes at MaxFrameBytes, so every payload fits.
+var zeroPayload [ethernet.MaxFrameBytes]byte
+
+// Scheduling labels of a flow's generation timer.
+const (
+	labelFlowStart = "flow-start"
+	labelFlowTick  = "flow-tick"
+)
 
 // Ifc returns the NIC's physical interface for cabling.
 func (n *NIC) Ifc() *netdev.Ifc { return n.ifc }
@@ -141,12 +161,11 @@ func (n *NIC) drain() {
 	if n.busy {
 		return
 	}
-	for ci := 0; ci < 3; ci++ {
-		if len(n.fifos[ci]) == 0 {
+	for ci := range n.fifos {
+		if n.fifos[ci].Len() == 0 {
 			continue
 		}
-		f := n.fifos[ci][0]
-		n.fifos[ci] = n.fifos[ci][1:]
+		f := n.fifos[ci].Pop()
 		// Stamp the tester timestamp when the frame actually hits the
 		// wire: queueing inside the tester is not network latency. The
 		// attribution span anchors at the same instant so its buckets
@@ -154,10 +173,7 @@ func (n *NIC) drain() {
 		f.SentAt = n.engine.Now()
 		f.Span.Begin(f.SentAt)
 		n.busy = true
-		n.ifc.Transmit(f, func() {
-			n.busy = false
-			n.drain()
-		})
+		n.ifc.Transmit(f, n.txDone)
 		return
 	}
 }
@@ -167,19 +183,20 @@ func (n *NIC) inject(spec *flows.Spec) {
 	seq := n.seq[spec.ID]
 	n.seq[spec.ID] = seq + 1
 	n.sent[spec.ID]++
+	size := ethernet.PayloadForWireSize(spec.WireSize)
 	f := &ethernet.Frame{
 		Dst:       ethernet.HostMAC(spec.DstHost),
 		Src:       ethernet.HostMAC(spec.SrcHost),
 		VID:       spec.VID,
 		PCP:       spec.PCP,
 		EtherType: ethernet.TypeTSN,
-		Payload:   make([]byte, ethernet.PayloadForWireSize(spec.WireSize)),
+		Payload:   zeroPayload[:size:size],
 		FlowID:    spec.ID,
 		Seq:       seq,
 		Class:     spec.Class,
 	}
 	ci := classIndex(spec.Class)
-	n.fifos[ci] = append(n.fifos[ci], f)
+	n.fifos[ci].Push(f)
 	// 802.1CB replication: the member stream is the same frame (same
 	// FlowID, same sequence number) tagged with the alternate VID, so
 	// the network's forwarding tables steer it onto the disjoint path.
@@ -188,7 +205,7 @@ func (n *NIC) inject(spec *flows.Spec) {
 	if altVID, ok := n.replicate[spec.ID]; ok {
 		r := f.CloneHeader() // re-tags the VID, a header field; payload is shared
 		r.VID = altVID
-		n.fifos[ci] = append(n.fifos[ci], r)
+		n.fifos[ci].Push(r)
 		n.replicas++
 	}
 	n.drain()
@@ -215,7 +232,7 @@ func (n *NIC) StartFlow(spec *flows.Spec) {
 		for i := 0; i < burst; i++ {
 			n.inject(spec)
 		}
-		e.After(interval, fmt.Sprintf("flow%d", spec.ID), tick)
+		e.After(interval, labelFlowTick, tick)
 	}
-	n.engine.At(n.engine.Now()+spec.Offset, fmt.Sprintf("flow%d-start", spec.ID), tick)
+	n.engine.At(n.engine.Now()+spec.Offset, labelFlowStart, tick)
 }

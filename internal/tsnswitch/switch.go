@@ -28,6 +28,8 @@ type Switch struct {
 	fwd   *forward.Engine
 	flt   *filter.Engine
 	ports []*Port
+	// outPorts is the Resolve buffer ingress reuses for every frame.
+	outPorts []int
 
 	// Tracer, when non-nil, receives per-packet dataplane events.
 	Tracer *trace.Recorder
@@ -90,9 +92,21 @@ type Port struct {
 	// and a preempted frame awaiting resumption.
 	txHandle  *netdev.TxHandle
 	txQueue   int
-	txBufSlot int
+	txBufSlot int // buffer slot of the in-flight frame, freed by txDone
 	suspended *suspendedTx
+
+	// Engine callbacks, bound once in New so the per-frame path
+	// schedules without building closures.
+	txDone     func()
+	retry      sim.Handler
+	preemptGap sim.Handler
 }
+
+// Scheduling labels of the port's own timers.
+const (
+	labelRetry      = "retry"
+	labelPreemptGap = "preempt-gap"
+)
 
 // suspendedTx is a preempted frame: its descriptor plus the bytes (and
 // fragment overhead) still to serialize.
@@ -137,6 +151,15 @@ func New(engine *sim.Engine, cfg Config) *Switch {
 			bank:   shaper.NewBank(cfg.CBSMapSize, cfg.CBSSize),
 		}
 		port.ifc = netdev.NewIfc(engine, fmt.Sprintf("sw%d.p%d", cfg.ID, p), port, cfg.RateFor(p))
+		port.txDone = port.onTxDone
+		port.retry = func(*sim.Engine) {
+			port.retryPending = false
+			port.tryTransmit()
+		}
+		port.preemptGap = func(*sim.Engine) {
+			port.transmitting = false
+			port.tryTransmit()
+		}
 		for q := 0; q < cfg.QueuesPerPort; q++ {
 			port.queues = append(port.queues, buffering.NewQueue(cfg.QueueDepth))
 		}
@@ -226,7 +249,8 @@ func (sw *Switch) ingress(f *ethernet.Frame) {
 	sw.stats.RxFrames++
 	sw.met.rx.Inc()
 	sw.emit(trace.KindIngress, -1, -1, f, "")
-	outPorts, ok := sw.fwd.Resolve(f)
+	outPorts, ok := sw.fwd.Resolve(f, sw.outPorts[:0])
+	sw.outPorts = outPorts
 	if !ok {
 		sw.stats.Drops[DropNoRoute]++
 		sw.met.drops[DropNoRoute].Inc()
@@ -346,10 +370,7 @@ func (p *Port) maybePreempt(arrivedQueue int) {
 	if gap < 0 {
 		gap = 0
 	}
-	sw.engine.After(gap, fmt.Sprintf("sw%d.p%d.preempt-gap", sw.cfg.ID, p.id), func(*sim.Engine) {
-		p.transmitting = false
-		p.tryTransmit()
-	})
+	sw.engine.After(gap, labelPreemptGap, p.preemptGap)
 }
 
 // selectQueue implements Egress Sched: strict priority (highest queue
@@ -420,15 +441,20 @@ func (p *Port) tryTransmit() {
 	p.txQueue = q
 	sw.met.residence.Observe(int64(sw.engine.Now() - d.EnqueuedAt))
 	sw.emit(trace.KindTxStart, p.id, q, d.Frame, "")
-	p.txHandle = p.ifc.TransmitHandle(d.Frame, func() {
-		p.pool.Free(d.Slot)
-		sw.stats.TxFrames++
-		sw.met.tx.Inc()
-		p.transmitting = false
-		p.txHandle = nil
-		p.tryTransmit()
-	})
 	p.txBufSlot = d.Slot
+	p.txHandle = p.ifc.TransmitHandle(d.Frame, p.txDone)
+}
+
+// onTxDone completes the in-flight transmission (a whole frame or a
+// resumed remainder): it frees the frame's buffer slot and starts the
+// next transmission.
+func (p *Port) onTxDone() {
+	p.pool.Free(p.txBufSlot)
+	p.sw.stats.TxFrames++
+	p.sw.met.tx.Inc()
+	p.transmitting = false
+	p.txHandle = nil
+	p.tryTransmit()
 }
 
 // maxGateScan bounds the analytic gate-wait walk: past this many
@@ -515,15 +541,8 @@ func (p *Port) resumeSuspended() {
 	p.transmitting = true
 	p.txQueue = s.queue
 	sw.emit(trace.KindTxStart, p.id, s.queue, s.desc.Frame, "resume")
-	p.txHandle = p.ifc.Resume(s.desc.Frame, s.remaining, func() {
-		p.pool.Free(s.desc.Slot)
-		sw.stats.TxFrames++
-		sw.met.tx.Inc()
-		p.transmitting = false
-		p.txHandle = nil
-		p.tryTransmit()
-	})
 	p.txBufSlot = s.desc.Slot
+	p.txHandle = p.ifc.Resume(s.desc.Frame, s.remaining, p.txDone)
 }
 
 // armRetry schedules a re-evaluation at the next gate slot boundary if
@@ -550,10 +569,7 @@ func (p *Port) armRetry(local sim.Time) {
 	// 65 µs slot — far below the guard band — so the distance is used
 	// as-is, plus 1 ns to land strictly inside the next slot.
 	delay := p.outGCL.TimeToBoundary(local) + 1
-	p.sw.engine.After(delay, fmt.Sprintf("sw%d.p%d.retry", p.sw.cfg.ID, p.id), func(*sim.Engine) {
-		p.retryPending = false
-		p.tryTransmit()
-	})
+	p.sw.engine.After(delay, labelRetry, p.retry)
 }
 
 // QueueHighWater returns the worst-case occupancy of queue q on port
