@@ -11,8 +11,10 @@ package bench
 
 import (
 	"fmt"
+	"strconv"
 	"testing"
 
+	"github.com/tsnbuilder/tsnbuilder/internal/core"
 	"github.com/tsnbuilder/tsnbuilder/internal/ethernet"
 	"github.com/tsnbuilder/tsnbuilder/internal/experiments"
 	"github.com/tsnbuilder/tsnbuilder/internal/flows"
@@ -21,6 +23,7 @@ import (
 	"github.com/tsnbuilder/tsnbuilder/internal/netdev"
 	"github.com/tsnbuilder/tsnbuilder/internal/obs"
 	"github.com/tsnbuilder/tsnbuilder/internal/sim"
+	"github.com/tsnbuilder/tsnbuilder/internal/topology"
 	"github.com/tsnbuilder/tsnbuilder/internal/trace"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnnic"
 	"github.com/tsnbuilder/tsnbuilder/internal/tsnswitch"
@@ -558,6 +561,74 @@ func BenchmarkDeriveAndBuild(b *testing.B) {
 		}
 		if _, err := tsnbuilder.BuilderFor(der.Config, nil).Build(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBindPathsMesh measures path binding on a fresh copy of the
+// mesh-p2 scale topology: 210 switches and 8192 4-hop TS flows (64
+// switches and 2048 flows under -short). Each iteration pays the
+// per-source BFS trees, as one build does.
+func BenchmarkBindPathsMesh(b *testing.B) {
+	switches, count := 210, 8192
+	if testing.Short() {
+		switches, count = 64, 2048
+	}
+	mesh := func() *topology.Topology {
+		topo := topology.MeshSquarish(switches)
+		for sw := 0; sw < topo.N; sw++ {
+			topo.AttachHost(100+sw, sw)
+		}
+		return topo
+	}
+	specs := flows.GenerateTS(flows.TSParams{
+		Count: count, Period: 10 * sim.Millisecond, WireSize: 64, VID: 1,
+		Hosts: func(i int) (int, int) { return 100 + i%switches, 100 + (i+3)%switches },
+		Seed:  1,
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		topo := mesh()
+		b.StartTimer()
+		if err := core.BindPaths(topo, specs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRegistryResolve measures registering one switch's
+// instrument set (4 ports × 8 queues, the label sets tsnswitch
+// resolves at construction) in a fresh registry: the per-switch share
+// of a build's telemetry set-up.
+func BenchmarkRegistryResolve(b *testing.B) {
+	const ports, queues = 4, 8
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		reg := metrics.New()
+		swl := metrics.L("switch", "7")
+		reg.Counter(tsnswitch.MetricRxFrames, swl)
+		reg.Counter(tsnswitch.MetricTxFrames, swl)
+		for _, r := range tsnswitch.DropReasons() {
+			reg.Counter(tsnswitch.MetricDrops, swl, metrics.L("reason", r.String()))
+		}
+		reg.Histogram(tsnswitch.MetricResidence, tsnswitch.ResidenceBounds, swl)
+		reg.Counter(tsnswitch.MetricPreemption, swl)
+		reg.Counter(tsnswitch.MetricMeterPass, swl)
+		reg.Counter(tsnswitch.MetricMeterDrop, swl)
+		for p := 0; p < ports; p++ {
+			pl := metrics.L("port", strconv.Itoa(p))
+			reg.Gauge(tsnswitch.MetricPoolOcc, swl, pl)
+			reg.Gauge(tsnswitch.MetricPoolHW, swl, pl)
+			reg.Counter(tsnswitch.MetricPoolFails, swl, pl)
+			for q := 0; q < queues; q++ {
+				ql := metrics.L("queue", strconv.Itoa(q))
+				reg.Counter(tsnswitch.MetricEnqueues, swl, pl, ql)
+				reg.Gauge(tsnswitch.MetricQueueHW, swl, pl, ql)
+			}
+			reg.Counter(tsnswitch.MetricRollovers, swl, pl, metrics.L("dir", "in"))
+			reg.Counter(tsnswitch.MetricRollovers, swl, pl, metrics.L("dir", "out"))
 		}
 	}
 }

@@ -146,11 +146,8 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 				maxWire = s.WireSize
 			}
 		}
-		for iter := 0; iter < 4; iter++ {
-			issues := CheckSlotFeasibility(plan, sc.AccessRate, maxWire)
-			if len(issues) == 0 {
-				break
-			}
+		issues := CheckSlotFeasibility(plan, sc.AccessRate, maxWire)
+		for iter := 0; iter < 4 && len(issues) > 0; iter++ {
 			wider := MinFeasibleSlot(plan.MaxOccupancy, sc.AccessRate, maxWire, 5*sim.Microsecond)
 			if wider <= sc.SlotSize {
 				wider = sc.SlotSize + 5*sim.Microsecond
@@ -159,10 +156,11 @@ func DeriveConfig(sc Scenario) (*Derivation, error) {
 			if plan, err = itp.Compute(sc.Flows, sc.SlotSize, key); err != nil {
 				return nil, err
 			}
-			if iter == 3 {
-				return nil, fmt.Errorf("core: no feasible slot for access rate %d bps (worst cell: %v)",
-					sc.AccessRate, issues[0])
-			}
+			issues = CheckSlotFeasibility(plan, sc.AccessRate, maxWire)
+		}
+		if len(issues) > 0 {
+			return nil, fmt.Errorf("core: no feasible slot for access rate %d bps (worst cell: %v)",
+				sc.AccessRate, issues[0])
 		}
 	}
 	depth := plan.MaxOccupancy

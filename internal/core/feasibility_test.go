@@ -74,6 +74,25 @@ func TestDeriveWidensSlotForSlowAccess(t *testing.T) {
 	}
 }
 
+// TestDeriveChecksFourthWidening: 968 flows at 22 Mbps need four
+// widenings, and the fourth slot is feasible. DeriveConfig must check
+// the plan it computes after the last widening instead of giving up.
+func TestDeriveChecksFourthWidening(t *testing.T) {
+	const rate = 22 * ethernet.Mbps
+	topo := topologyRing6(t)
+	specs := ringFlows(t, topo, 968)
+	der, err := DeriveConfig(Scenario{Topo: topo, Flows: specs, AccessRate: rate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if der.Config.SlotSize != 185*sim.Microsecond {
+		t.Fatalf("slot = %v, want 185µs after four widenings", der.Config.SlotSize)
+	}
+	if issues := CheckSlotFeasibility(der.Plan, rate, 64); len(issues) != 0 {
+		t.Fatalf("derived slot still infeasible: %v", issues)
+	}
+}
+
 // topologyRing6/ringFlows are small helpers for the feasibility tests.
 func topologyRing6(t *testing.T) *topology.Topology {
 	t.Helper()

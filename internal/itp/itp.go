@@ -101,87 +101,55 @@ func Compute(specs []*flows.Spec, slot sim.Time, key CellKey) (*Plan, error) {
 	if len(ts) == 0 {
 		return plan, nil
 	}
-
-	// Periods in slots (floor: conservative — occupancy repeats at
-	// least this often).
-	periodSlots := make(map[uint32]int64, len(ts))
-	var hyper int64 = 1
-	for _, s := range ts {
-		p := int64(s.Period / slot)
-		if p < 1 {
-			p = 1
-		}
-		periodSlots[s.ID] = p
-		if hyper != 0 {
-			hyper = lcm(hyper, p)
-		}
-	}
-	if hyper == 0 {
-		// Cap: fold onto the largest period.
-		for _, p := range periodSlots {
-			if p > hyper {
-				hyper = p
-			}
-		}
-	}
+	g := newGrid(ts, slot)
 
 	// Plan longest-period flows first: they have the most offset
 	// freedom relative to their footprint, and short-period flows are
 	// the binding constraint placed against an almost-final grid.
-	order := append([]*flows.Spec(nil), ts...)
+	order := make([]int, len(ts))
+	for i := range order {
+		order[i] = i
+	}
 	sort.SliceStable(order, func(i, j int) bool {
-		pi, pj := periodSlots[order[i].ID], periodSlots[order[j].ID]
-		if pi != pj {
-			return pi > pj
+		a, b := order[i], order[j]
+		if g.period[a] != g.period[b] {
+			return g.period[a] > g.period[b]
 		}
-		return order[i].ID < order[j].ID
+		return ts[a].ID < ts[b].ID
 	})
 
-	grid := make(map[string][]int)
-	cells := func(s *flows.Spec) []string {
-		out := make([]string, len(s.Path))
-		for h := range s.Path {
-			out[h] = key(s, h)
-		}
-		return out
-	}
-	for _, s := range order {
-		p := periodSlots[s.ID]
-		reps := hyper / p
-		ck := cells(s)
-		for _, c := range ck {
-			if grid[c] == nil {
-				grid[c] = make([]int, hyper)
-			}
-		}
-		bestOffset, bestWorst, bestSum := int64(0), int(1<<30), int(1<<30)
-		for o := int64(0); o < p; o++ {
-			worst, sum := 0, 0
-			for h, c := range ck {
-				row := grid[c]
-				for r := int64(0); r < reps; r++ {
-					idx := (o + int64(h) + r*p) % hyper
-					v := row[idx] + 1
-					sum += v
-					if v > worst {
-						worst = v
-					}
-				}
-			}
-			if worst < bestWorst || (worst == bestWorst && sum < bestSum) {
-				bestOffset, bestWorst, bestSum = o, worst, sum
-			}
-		}
-		for h, c := range ck {
-			row := grid[c]
+	// Scratch reused across flows: the flow's grid rows, and per
+	// candidate offset o the worst and summed occupancy the flow would
+	// create along its path.
+	var rows [][]int
+	worstBuf := make([]int, g.maxPeriod)
+	sumBuf := make([]int, g.maxPeriod)
+	for _, i := range order {
+		s, p := ts[i], g.period[i]
+		reps := g.hyper / p
+		rows = g.rows(rows[:0], s, key)
+		w, sm := worstBuf[:p], sumBuf[:p]
+		clear(w)
+		clear(sm)
+		// Hop-major: each row is scanned once per repetition across
+		// every candidate offset, instead of once per offset.
+		for h, row := range rows {
 			for r := int64(0); r < reps; r++ {
-				row[(bestOffset+int64(h)+r*p)%hyper]++
+				score(row, (int64(h)+r*p)%g.hyper, w, sm)
 			}
 		}
-		plan.Offsets[s.ID] = sim.Time(bestOffset) * slot
+		// The first offset minimizing (worst, sum) wins ties.
+		best := 0
+		for o := 1; o < len(w); o++ {
+			if w[o] < w[best] || (w[o] == w[best] && sm[o] < sm[best]) {
+				best = o
+			}
+		}
+		g.place(rows, int64(best), p)
+		plan.Offsets[s.ID] = sim.Time(best) * slot
 	}
 
-	for c, row := range grid {
+	for c, row := range g.cells {
 		worst := 0
 		for _, v := range row {
 			if v > worst {
@@ -194,6 +162,90 @@ func Compute(specs []*flows.Spec, slot sim.Time, key CellKey) (*Plan, error) {
 		}
 	}
 	return plan, nil
+}
+
+// grid is the per-cell occupancy of one hyperperiod, in slots.
+type grid struct {
+	// period[i] is flow i's period in slots (floor: conservative —
+	// occupancy repeats at least this often), at least 1.
+	period    []int64
+	maxPeriod int64
+	hyper     int64
+	cells     map[string][]int
+}
+
+// newGrid sizes an empty grid for the TS flows ts.
+func newGrid(ts []*flows.Spec, slot sim.Time) *grid {
+	g := &grid{period: make([]int64, len(ts)), hyper: 1, cells: make(map[string][]int)}
+	for i, s := range ts {
+		p := int64(s.Period / slot)
+		if p < 1 {
+			p = 1
+		}
+		g.period[i] = p
+		if p > g.maxPeriod {
+			g.maxPeriod = p
+		}
+		if g.hyper != 0 {
+			g.hyper = lcm(g.hyper, p)
+		}
+	}
+	if g.hyper == 0 {
+		// Cap: fold onto the largest period.
+		g.hyper = g.maxPeriod
+	}
+	return g
+}
+
+// rows appends to dst the grid row of each hop of s, creating missing
+// rows: one key call and one map lookup per hop.
+func (g *grid) rows(dst [][]int, s *flows.Spec, key CellKey) [][]int {
+	for h := range s.Path {
+		c := key(s, h)
+		row, ok := g.cells[c]
+		if !ok {
+			row = make([]int, g.hyper)
+			g.cells[c] = row
+		}
+		dst = append(dst, row)
+	}
+	return dst
+}
+
+// place adds one packet per repetition of period p at offset o to
+// every hop's row (hop h occupies slot o+h).
+func (g *grid) place(rows [][]int, o, p int64) {
+	for h, row := range rows {
+		for r := int64(0); r < g.hyper/p; r++ {
+			row[(o+int64(h)+r*p)%g.hyper]++
+		}
+	}
+}
+
+// score adds, for every candidate offset o < len(worst), the occupancy
+// row[(start+o) mod len(row)]+1 that placing a packet there would
+// reach into sum[o] and raises worst[o] to it. len(worst) ≤ len(row),
+// so the index wraps at most once.
+func score(row []int, start int64, worst, sum []int) {
+	head := row[start:]
+	if len(head) > len(worst) {
+		head = head[:len(worst)]
+	}
+	for o, c := range head {
+		v := c + 1
+		sum[o] += v
+		if v > worst[o] {
+			worst[o] = v
+		}
+	}
+	worst, sum = worst[len(head):], sum[len(head):]
+	for o, c := range row[:len(worst)] {
+		v := c + 1
+		sum[o] += v
+		if v > worst[o] {
+			worst[o] = v
+		}
+	}
 }
 
 // Apply writes the planned offsets into the specs.
@@ -215,47 +267,25 @@ func Occupancy(specs []*flows.Spec, slot sim.Time, key CellKey) (int, error) {
 	if slot <= 0 {
 		return 0, fmt.Errorf("itp: non-positive slot %v", slot)
 	}
-	// Hyperperiod over all TS flows, as in Compute.
-	var hyper int64 = 1
-	periodSlots := make(map[uint32]int64)
 	var ts []*flows.Spec
 	for _, s := range specs {
 		if s.Class != ethernet.ClassTS || s.Period <= 0 || len(s.Path) == 0 {
 			continue
 		}
-		p := int64(s.Period / slot)
-		if p < 1 {
-			p = 1
-		}
 		ts = append(ts, s)
-		periodSlots[s.ID] = p
-		if hyper != 0 {
-			hyper = lcm(hyper, p)
-		}
 	}
-	if hyper == 0 {
-		for _, p := range periodSlots {
-			if p > hyper {
-				hyper = p
-			}
-		}
+	// Hyperperiod over all TS flows, as in Compute.
+	g := newGrid(ts, slot)
+	var rows [][]int
+	for i, s := range ts {
+		rows = g.rows(rows[:0], s, key)
+		g.place(rows, int64(s.Offset/slot), g.period[i])
 	}
-	grid := make(map[string][]int)
 	worst := 0
-	for _, s := range ts {
-		p := periodSlots[s.ID]
-		o := int64(s.Offset / slot)
-		for h := range s.Path {
-			c := key(s, h)
-			if grid[c] == nil {
-				grid[c] = make([]int, hyper)
-			}
-			for r := int64(0); r < hyper/p; r++ {
-				idx := (o + int64(h) + r*p) % hyper
-				grid[c][idx]++
-				if grid[c][idx] > worst {
-					worst = grid[c][idx]
-				}
+	for _, row := range g.cells {
+		for _, v := range row {
+			if v > worst {
+				worst = v
 			}
 		}
 	}

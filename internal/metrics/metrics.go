@@ -23,8 +23,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -299,16 +297,32 @@ func (r *Registry) Help(name, help string) {
 	r.families = append(r.families, f)
 }
 
-// labelKey builds the dedup key of a sorted label set.
-func labelKey(labels []Label) string {
-	var b strings.Builder
-	for _, l := range labels {
-		b.WriteString(l.Key)
-		b.WriteByte(1)
-		b.WriteString(l.Value)
-		b.WriteByte(0)
+// maxInlineLabels is the label count registration sorts on the stack;
+// every instrumentation site uses at most four.
+const maxInlineLabels = 4
+
+// sortLabels copies labels into buf (growing it only past its
+// capacity) and sorts the copy by key. The insertion sort is stable,
+// so labels sharing a key keep their order.
+func sortLabels(buf, labels []Label) []Label {
+	sorted := append(buf[:0], labels...)
+	for i := 1; i < len(sorted); i++ {
+		for j := i; j > 0 && sorted[j].Key < sorted[j-1].Key; j-- {
+			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
+		}
 	}
-	return b.String()
+	return sorted
+}
+
+// appendLabelKey appends the dedup key of a sorted label set to b.
+func appendLabelKey(b []byte, labels []Label) []byte {
+	for _, l := range labels {
+		b = append(b, l.Key...)
+		b = append(b, 1)
+		b = append(b, l.Value...)
+		b = append(b, 0)
+	}
+	return b
 }
 
 // lookup finds or creates the cell for (name, labels) of the given
@@ -329,13 +343,16 @@ func (r *Registry) lookup(name string, kind Kind, bounds []int64, labels []Label
 	} else if f.kind != kind {
 		panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", name, f.kind, kind))
 	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	key := labelKey(sorted)
-	if s, ok := f.byKey[key]; ok {
+	// Sort and key on stack buffers; the lookup's string(key)
+	// conversion does not copy, so a hit allocates nothing.
+	var lbuf [maxInlineLabels]Label
+	var kbuf [128]byte
+	sorted := sortLabels(lbuf[:], labels)
+	key := appendLabelKey(kbuf[:0], sorted)
+	if s, ok := f.byKey[string(key)]; ok {
 		return s
 	}
-	s := &sample{labels: sorted}
+	s := &sample{labels: append([]Label(nil), sorted...)}
 	switch kind {
 	case KindCounter:
 		s.c = new(uint64)
@@ -344,7 +361,7 @@ func (r *Registry) lookup(name string, kind Kind, bounds []int64, labels []Label
 	case KindHistogram:
 		s.h = &histData{bounds: f.bounds, counts: make([]uint64, len(f.bounds)+1)}
 	}
-	f.byKey[key] = s
+	f.byKey[string(key)] = s
 	f.samples = append(f.samples, s)
 	return s
 }
@@ -447,7 +464,8 @@ func (r *Registry) find(name string, labels []Label) *sample {
 	if !ok {
 		return nil
 	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
-	return f.byKey[labelKey(sorted)]
+	var lbuf [maxInlineLabels]Label
+	var kbuf [128]byte
+	key := appendLabelKey(kbuf[:0], sortLabels(lbuf[:], labels))
+	return f.byKey[string(key)]
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -214,5 +215,31 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i) % 1_000_000)
+	}
+}
+
+func TestResolveCopiesLabelsOnlyOnCreate(t *testing.T) {
+	r := New()
+	ls := []Label{L("switch", "0"), L("queue", "7"), L("port", "1")}
+	c := r.Counter("enq", ls...)
+	ls[0].Value = "9" // the registry must own its copy
+	want := []Label{L("port", "1"), L("queue", "7"), L("switch", "0")}
+	if got := r.byName["enq"].samples[0].labels; !reflect.DeepEqual(got, want) {
+		t.Fatalf("stored labels = %v, want %v", got, want)
+	}
+	// Resolving an existing cell, in any label order, allocates nothing.
+	allocs := testing.AllocsPerRun(100, func() {
+		if r.Counter("enq", L("port", "1"), L("switch", "0"), L("queue", "7")) != c {
+			t.Fatal("hit resolved a different cell")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("resolving an existing cell allocates %.1f times", allocs)
+	}
+	// Past the inline label count the same key resolves the same cell.
+	five := []Label{L("e", "5"), L("d", "4"), L("c", "3"), L("b", "2"), L("a", "1")}
+	r.Counter("wide", five...).Inc()
+	if got := r.CounterValue("wide", five[4], five[3], five[2], five[1], five[0]); got != 1 {
+		t.Fatalf("five-label counter = %d, want 1", got)
 	}
 }

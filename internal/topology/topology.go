@@ -10,7 +10,9 @@ package topology
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // Kind enumerates the supported shapes.
@@ -60,6 +62,11 @@ type Topology struct {
 
 	// adj[sw][neighbor] = output port on sw toward neighbor.
 	adj []map[int]int
+	// nbrs[sw] lists sw's neighbors in ascending order.
+	nbrs [][]int
+	// trees[src] is the BFS predecessor tree rooted at src, built on
+	// first use by Path (trunks never change after construction).
+	trees []bfsTree
 	// nextPort[sw] = next unallocated port index.
 	nextPort []int
 	// hostPort[host] = attachment point.
@@ -85,6 +92,8 @@ func newTopology(kind Kind, n, enabled int) *Topology {
 		N:               n,
 		EnabledTSNPorts: enabled,
 		adj:             make([]map[int]int, n),
+		nbrs:            make([][]int, n),
+		trees:           make([]bfsTree, n),
 		nextPort:        make([]int, n),
 		hostPort:        make(map[int]Attach),
 	}
@@ -98,6 +107,8 @@ func newTopology(kind Kind, n, enabled int) *Topology {
 func (t *Topology) addTrunk(sw, neighbor int) {
 	t.adj[sw][neighbor] = t.nextPort[sw]
 	t.nextPort[sw]++
+	i := sort.SearchInts(t.nbrs[sw], neighbor)
+	t.nbrs[sw] = slices.Insert(t.nbrs[sw], i, neighbor)
 }
 
 // Star builds a core switch (0) with children 1..children. The paper's
@@ -282,6 +293,10 @@ func (t *Topology) PortToward(sw, next int) (int, bool) {
 // Path returns the switch sequence from switch src to switch dst,
 // inclusive. For the unidirectional ring the path follows the ring
 // direction; otherwise it is the (unique) shortest path.
+//
+// Paths are read from one BFS tree per source switch, built on the
+// first call from that source. Path is safe for concurrent use, and
+// each call returns a fresh slice the caller may keep or modify.
 func (t *Topology) Path(src, dst int) ([]int, error) {
 	if src < 0 || src >= t.N || dst < 0 || dst >= t.N {
 		return nil, fmt.Errorf("topology: path %d->%d out of range", src, dst)
@@ -289,48 +304,57 @@ func (t *Topology) Path(src, dst int) ([]int, error) {
 	if src == dst {
 		return []int{src}, nil
 	}
-	// BFS over the directed adjacency (the ring is directed; star and
-	// linear are symmetric).
-	prev := make([]int, t.N)
-	for i := range prev {
-		prev[i] = -1
-	}
-	prev[src] = src
-	queue := []int{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur == dst {
-			break
-		}
-		// Iterate neighbors in sorted order so tie-breaking between
-		// equal-length paths (possible on the bidirectional ring) is
-		// deterministic across runs.
-		nbs := make([]int, 0, len(t.adj[cur]))
-		for nb := range t.adj[cur] {
-			nbs = append(nbs, nb)
-		}
-		sort.Ints(nbs)
-		for _, nb := range nbs {
-			if prev[nb] == -1 {
-				prev[nb] = cur
-				queue = append(queue, nb)
-			}
-		}
-	}
+	prev := t.tree(src)
 	if prev[dst] == -1 {
 		return nil, fmt.Errorf("topology: no path %d->%d", src, dst)
 	}
-	var rev []int
+	n := 1
 	for cur := dst; cur != src; cur = prev[cur] {
-		rev = append(rev, cur)
+		n++
 	}
-	rev = append(rev, src)
-	// Reverse.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	path := make([]int, n)
+	for cur, i := dst, n-1; i >= 0; cur, i = prev[cur], i-1 {
+		path[i] = cur
 	}
-	return rev, nil
+	return path, nil
+}
+
+// bfsTree is one source switch's lazily built predecessor tree.
+type bfsTree struct {
+	once sync.Once
+	prev []int
+}
+
+// tree returns the BFS predecessor tree rooted at src: prev[src] ==
+// src, prev[sw] == -1 for unreachable switches. BFS runs over the
+// directed adjacency (the ring is directed; the other shapes are
+// symmetric) and visits neighbors in ascending order, so ties between
+// equal-length paths (the bidirectional ring, the mesh) break
+// deterministically. A switch's predecessor is fixed when it is first
+// discovered, so the path to any dst is the one a BFS stopping at dst
+// would find.
+func (t *Topology) tree(src int) []int {
+	tr := &t.trees[src]
+	tr.once.Do(func() {
+		prev := make([]int, t.N)
+		for i := range prev {
+			prev[i] = -1
+		}
+		prev[src] = src
+		queue := make([]int, 1, t.N)
+		queue[0] = src
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
+			for _, nb := range t.nbrs[cur] {
+				if prev[nb] == -1 {
+					prev[nb] = cur
+					queue = append(queue, nb)
+				}
+			}
+		}
+		tr.prev = prev
+	})
+	return tr.prev
 }
 
 // DisjointPaths returns two link-disjoint switch paths from src to
